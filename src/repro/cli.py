@@ -442,7 +442,7 @@ def _cmd_stream_localize(args: argparse.Namespace) -> int:
 
         host, port = _parse_serve_address(args.serve_metrics)
         tracker = SLOTracker()
-        with obs.capture():
+        with obs.capture(keep_spans=False):
             with TelemetryServer(host=host, port=port) as server:
                 print(
                     f"telemetry: serving {server.url}/metrics "
@@ -516,7 +516,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = FleetStore(args.store) if args.store else None
     supervisor = FleetSupervisor(method, config=fleet_config, store=store)
     try:
-        with obs.capture():
+        with obs.capture(keep_spans=False):
             with LocalizationServer(supervisor, serving_config) as server:
                 binary = (
                     f", binary frames on port {server.binary_port}"

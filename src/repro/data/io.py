@@ -1,6 +1,6 @@
 """Serialization of schemas, leaf tables, and localization cases.
 
-Two interchange formats are provided:
+Three interchange formats are provided:
 
 * **CSV** for the leaf table itself — one column per attribute plus
   ``v``, ``f``, ``label`` — matching the layout of Table III and of the
@@ -8,22 +8,32 @@ Two interchange formats are provided:
   produced data can be dropped in.
 * **JSON** for full :class:`~repro.data.injection.LocalizationCase` bundles
   (schema + leaf table + ground-truth RAPs + metadata), used to persist
-  generated benchmarks so experiment runs are replayable byte-for-byte.
+  generated benchmarks so experiment runs are replayable byte-for-byte,
+  and as the ``case`` object of every serving request.  The four
+  leaf-table lanes (``codes``, ``v``, ``f``, ``labels``) are written as
+  **packed lanes** — ``{"dtype": "<f8", "b64": "..."}``, the base64 of
+  the raw little-endian buffer — so a lane decodes with one base64 pass
+  and one ``np.frombuffer``, keeping every bit (NaN payloads, ``-0.0``)
+  and building no per-leaf Python objects.  :func:`case_from_dict` also
+  reads the older plain-list form, so hand-written JSON and earlier
+  ``.json`` files keep working; both forms are validated strictly
+  (:data:`LANE_DTYPES`, integer codes, 0/1 labels, numeric values).
 * **NPZ** for the same bundles in binary form: the four leaf-table arrays
-  are stored as raw numpy buffers (no ``tolist()`` round-trip, no float
-  re-parsing) with the non-array fields in an embedded JSON header.  JSON
-  stays the interchange format; ``.npz`` is the fast path for large
-  bundles and the batch execution layer's replay inputs.
+  are stored as raw numpy buffers with the non-array fields in an
+  embedded JSON header.  ``.npz`` is the fast path for many bundles on
+  disk and the batch execution layer's replay inputs.
   :func:`save_cases` / :func:`load_cases` pick the format by suffix.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import csv
 import io
 import json
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +42,7 @@ from .dataset import FineGrainedDataset
 from .injection import LocalizationCase
 
 __all__ = [
+    "LANE_DTYPES",
     "dataset_to_csv",
     "dataset_from_csv",
     "schema_to_dict",
@@ -49,6 +60,25 @@ __all__ = [
 ]
 
 PathLike = Union[str, Path]
+
+#: Packed-lane dtypes :func:`case_from_dict` accepts, per lane (numpy
+#: ``dtype.str`` spelling: explicit byte order, fixed width).  Codes take
+#: the narrowest unsigned width that holds the schema's largest code.
+LANE_DTYPES: Dict[str, Tuple[str, ...]] = {
+    "codes": ("|u1", "<u2", "<u4", "<u8"),
+    "v": ("<f8",),
+    "f": ("<f8",),
+    "labels": ("|u1",),
+}
+
+#: Element types the plain-list form accepts per lane (exact types, so
+#: JSON ``true`` is not a code and ``"3.5"`` is not a value).
+_LIST_TYPES: Dict[str, Tuple[type, ...]] = {
+    "codes": (int,),
+    "v": (int, float),
+    "f": (int, float),
+    "labels": (bool, int),
+}
 
 
 def schema_to_dict(schema: AttributeSchema) -> Dict:
@@ -95,29 +125,50 @@ def dataset_from_csv(path: PathLike, schema: AttributeSchema) -> FineGrainedData
 
 
 def case_to_dict(case: LocalizationCase) -> Dict:
-    """JSON-ready representation of a localization case."""
+    """JSON-ready representation of a localization case (packed lanes)."""
     dataset = case.dataset
+    largest = max(dataset.schema.sizes, default=1) - 1
+    code_dtype = next(
+        d for d in LANE_DTYPES["codes"] if largest <= np.iinfo(np.dtype(d)).max
+    )
     return {
         "case_id": case.case_id,
         "schema": schema_to_dict(dataset.schema),
-        "codes": dataset.codes.tolist(),
-        "v": dataset.v.tolist(),
-        "f": dataset.f.tolist(),
-        "labels": dataset.labels.astype(int).tolist(),
+        "codes": _pack(dataset.codes, code_dtype),
+        "v": _pack(dataset.v, "<f8"),
+        "f": _pack(dataset.f, "<f8"),
+        "labels": _pack(dataset.labels, "|u1"),
         "true_raps": [str(rap) for rap in case.true_raps],
         "metadata": _jsonify(case.metadata),
     }
 
 
 def case_from_dict(data: Dict) -> LocalizationCase:
-    """Inverse of :func:`case_to_dict`."""
+    """Inverse of :func:`case_to_dict`; also reads the plain-list form.
+
+    Malformed input raises (``ValueError`` for a bad lane) instead of
+    being coerced: a lane must be a packed lane with a whitelisted dtype
+    and whole items, or a list holding only the lane's JSON type; codes
+    must fit the schema's attribute count and ranges, ``v``/``f``/
+    ``labels`` must match the row count, and labels must be 0/1.
+    """
     schema = schema_from_dict(data["schema"])
+    codes, v, f, labels = (_lane(data, name) for name in ("codes", "v", "f", "labels"))
+    if codes.ndim == 1:
+        if codes.size % schema.n_attributes:
+            raise ValueError(
+                f"codes hold {codes.size} elements, not a multiple of "
+                f"{schema.n_attributes} attributes"
+            )
+        codes = codes.reshape(-1, schema.n_attributes)
+    if labels.size and (labels.min() < 0 or labels.max() > 1):
+        raise ValueError("labels must be 0/1")
     dataset = FineGrainedDataset(
         schema,
-        np.asarray(data["codes"], dtype=np.int64).reshape(-1, schema.n_attributes),
-        np.asarray(data["v"], dtype=float),
-        np.asarray(data["f"], dtype=float),
-        np.asarray(data["labels"], dtype=bool),
+        codes.astype(np.int64),
+        np.array(v, dtype=np.float64),
+        np.array(f, dtype=np.float64),
+        labels.astype(bool),
     )
     raps = tuple(AttributeCombination.parse(text) for text in data["true_raps"])
     return LocalizationCase(
@@ -126,6 +177,43 @@ def case_from_dict(data: Dict) -> LocalizationCase:
         true_raps=raps,
         metadata=dict(data.get("metadata", {})),
     )
+
+
+def _pack(array: np.ndarray, dtype: str) -> Dict[str, str]:
+    """One packed lane: *array* as *dtype*, base64 of the raw buffer."""
+    buffer = np.ascontiguousarray(array, dtype=dtype)
+    return {"dtype": dtype, "b64": binascii.b2a_base64(buffer, newline=False).decode("ascii")}
+
+
+def _lane(data: Dict, name: str) -> np.ndarray:
+    """Decode lane *name* of a case bundle, packed or list form, strictly."""
+    lane = data[name]
+    if isinstance(lane, dict):
+        if set(lane) != {"dtype", "b64"}:
+            raise ValueError(f"packed lane {name!r} must hold exactly 'dtype' and 'b64'")
+        dtype, text = lane["dtype"], lane["b64"]
+        if not isinstance(dtype, str) or dtype not in LANE_DTYPES[name]:
+            raise ValueError(
+                f"packed lane {name!r} dtype {dtype!r} is not one of {LANE_DTYPES[name]}"
+            )
+        if not isinstance(text, str):
+            raise ValueError(f"packed lane {name!r} 'b64' must be a string")
+        raw = base64.b64decode(text, validate=True)
+        itemsize = np.dtype(dtype).itemsize
+        if len(raw) % itemsize:
+            raise ValueError(
+                f"packed lane {name!r} holds {len(raw)} bytes, not a multiple "
+                f"of the {dtype} itemsize {itemsize}"
+            )
+        return np.frombuffer(raw, dtype=dtype)
+    if isinstance(lane, list):
+        values = np.array(lane, dtype=object)
+        allowed = _LIST_TYPES[name]
+        for value in values.flat:
+            if type(value) not in allowed:
+                raise ValueError(f"lane {name!r} holds {value!r}, not {allowed}")
+        return values.astype(np.float64 if float in allowed else np.int64)
+    raise ValueError(f"lane {name!r} must be a packed lane object or a list")
 
 
 def save_cases(cases: Sequence[LocalizationCase], path: PathLike) -> None:

@@ -104,6 +104,9 @@ class FleetItem:
     degrade: bool = False
     #: Per-item top-k override (``None`` = the fleet config's policy).
     k: Optional[int] = None
+    #: Set once the item's result is recorded; a crashed micro-batch
+    #: requeues only its unfinished members.
+    finished: bool = False
 
 
 @dataclass

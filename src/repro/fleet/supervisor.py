@@ -194,7 +194,11 @@ class FleetSupervisor:
         self._serving = False
         self._lock = threading.Lock()
         self._states: Dict[int, _ShardState] = {}
+        #: Finished rows by seq, for :meth:`drain`; not kept from
+        #: :meth:`start_serving` until :meth:`stop_serving` has retired
+        #: the workers, since serving delivers every row to ``on_result``.
         self._rows: Dict[int, Tuple] = {}
+        self._keep_rows = True
         self._overflow: Dict[str, deque] = {}
         self._inflight: Dict[str, int] = {}
         self._outstanding = 0
@@ -372,8 +376,7 @@ class FleetSupervisor:
         except BaseException as exc:
             # Rows recorded before the raise stand; only the unfinished
             # part of the micro-batch goes through the crash protocol.
-            with self._lock:
-                unfinished = [i for i in batch if i.seq not in self._rows]
+            unfinished = [i for i in batch if not i.finished]
             # The per-case loop runs in order, so the first unfinished
             # item is the one that was executing when the shard died —
             # the only one charged a retry attempt.  The tail never
@@ -442,20 +445,26 @@ class FleetSupervisor:
         tier: Optional[str] = None,
     ) -> None:
         self._finish(
+            item,
             self._result_row(
                 item, shard_id, predicted, seconds, None, stop_reason, tier
-            )
+            ),
         )
 
     def _record_error(self, item: FleetItem, exc: BaseException) -> None:
         if _trace.ACTIVE:
             obs.inc("fleet_errors_total")
         self._finish(
-            self._result_row(item, None, [], 0.0, f"{type(exc).__name__}: {exc}")
+            item, self._result_row(item, None, [], 0.0, f"{type(exc).__name__}: {exc}")
         )
 
-    def _finish(self, row: Tuple) -> None:
-        """Record a finished row, admit overflow, close when drained."""
+    def _finish(self, item: FleetItem, row: Tuple) -> None:
+        """Record a finished row, admit overflow, close when drained.
+
+        In serving mode the row goes only to :attr:`on_result`, so a
+        long-lived server holds no per-request state once it answered.
+        """
+        item.finished = True
         seq, tenant = row[0], row[6]
         if self.store is not None:
             self.store.append_result(
@@ -473,7 +482,8 @@ class FleetSupervisor:
             )
         admit = None
         with self._lock:
-            self._rows[seq] = row
+            if self._keep_rows:
+                self._rows[seq] = row
             self._outstanding -= 1
             waiting = self._overflow.get(tenant)
             if waiting:
@@ -667,6 +677,7 @@ class FleetSupervisor:
             if self._thread_drain_active:
                 raise RuntimeError("cannot start serving during an active drain")
             self._serving = True
+            self._keep_rows = False
             self._thread_drain_active = True
             self._worker_shards = set()
             self._worker_threads = []
@@ -700,6 +711,7 @@ class FleetSupervisor:
                 break
         with self._lock:
             self._thread_drain_active = False
+            self._keep_rows = True
             self._worker_shards = set()
             self._worker_threads = []
 

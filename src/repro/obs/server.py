@@ -45,6 +45,11 @@ __all__ = ["TelemetryServer", "PROMETHEUS_CONTENT_TYPE"]
 #: The content type a Prometheus scraper expects from a 0.0.4 exposition.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: ``serve_forever`` poll: how long :meth:`TelemetryServer.stop` can wait
+#: for the serving thread to notice the shutdown (the stdlib default is
+#: 0.5 s, paid on every stop).
+POLL_INTERVAL_S = 0.05
+
 #: Probe signature: return truthy for OK; a dict is included in the body.
 Probe = Callable[[], object]
 
@@ -99,7 +104,8 @@ class TelemetryServer:
     healthy:
         ``/healthz`` veto probe; default always healthy while serving.
     profile_source:
-        ``"spans"`` (default) profiles the full capture;``"ring"``
+        ``"spans"`` (default) profiles every span the capture retains
+        (only the ring, for a ``keep_spans=False`` capture); ``"ring"``
         profiles only the bounded recent-span ring — constant memory and
         cost, for very long runs.
     """
@@ -138,6 +144,7 @@ class TelemetryServer:
         self._httpd.telemetry = self  # type: ignore[attr-defined]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            args=(POLL_INTERVAL_S,),
             name="repro-telemetry",
             daemon=True,
         )

@@ -175,10 +175,17 @@ class SpanRing:
 
 
 class Collector:
-    """Sink for one observed run: finished spans plus a metric registry."""
+    """Sink for one observed run: finished spans plus a metric registry.
 
-    def __init__(self, ring_capacity: int = 256) -> None:
+    ``keep_spans=False`` suits long-lived processes (a server, a live
+    replay): finished spans then go only to the bounded :attr:`recent`
+    ring, so memory stays flat however many requests are served, and
+    :attr:`spans` stays empty.
+    """
+
+    def __init__(self, ring_capacity: int = 256, keep_spans: bool = True) -> None:
         self.spans: List[Span] = []
+        self.keep_spans = keep_spans
         self.metrics = MetricRegistry()
         #: Bounded buffer of the newest finished spans, for live inspection.
         self.recent = SpanRing(ring_capacity)
@@ -203,14 +210,20 @@ class Collector:
 
     def _finish(self, finished: Span) -> None:
         finished.duration_s = time.perf_counter() - finished.start
-        with self._lock:
-            self.spans.append(finished)
+        if self.keep_spans:
+            with self._lock:
+                self.spans.append(finished)
         self.recent.append(finished)
 
     # -- queries -----------------------------------------------------------
 
     def snapshot_spans(self) -> List[Span]:
-        """Copy of the finished-span list, safe against concurrent appends."""
+        """Copy of the retained finished spans, safe against concurrent appends.
+
+        The full list, or the ring's contents when ``keep_spans`` is off.
+        """
+        if not self.keep_spans:
+            return self.recent.snapshot()
         with self._lock:
             return list(self.spans)
 
@@ -286,13 +299,17 @@ def uninstall(previous: Optional[Collector] = None) -> None:
 
 
 @contextmanager
-def capture(trace_path: Optional[str] = None) -> Iterator[Collector]:
+def capture(
+    trace_path: Optional[str] = None, keep_spans: bool = True
+) -> Iterator[Collector]:
     """Collect spans and metrics for the ``with`` body.
 
     Installs a fresh :class:`Collector` (restoring any previously
     installed one on exit, so captures nest) and yields it.  When
     *trace_path* is given the collected run is written there as JSONL on
     exit — including on exception, so crashed runs still leave a trail.
+    ``keep_spans=False`` keeps only the bounded recent-span ring (see
+    :class:`Collector`), for captures that live as long as a server.
 
     Examples
     --------
@@ -303,7 +320,7 @@ def capture(trace_path: Optional[str] = None) -> Iterator[Collector]:
     >>> [s.name for s in collector.spans]
     ['demo']
     """
-    collector = Collector()
+    collector = Collector(keep_spans=keep_spans)
     previous = install(collector)
     try:
         yield collector

@@ -443,10 +443,11 @@ class LocalizationServer:
         try:
             return await asyncio.wait_for(future, timeout=self.config.request_timeout_s)
         except asyncio.TimeoutError:
-            # The slot stays held: the case is still running and the
-            # release happens in _on_result when it truly finishes.
-            with self._pending_lock:
-                self._pending.pop(seq, None)
+            # The slot and the _pending entry stay: the case is still
+            # running, and _on_result releases the slot and drops the
+            # entry when it truly finishes (the cancelled future is then
+            # left alone).  Dropping the entry here would park that late
+            # result in _early for good.
             return None
 
     # -- HTTP plane --------------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import threading
+from collections import Counter
 
 import pytest
 
@@ -15,7 +17,7 @@ from repro.data.rapmd import RAPMDConfig, generate_rapmd
 from repro.data.schema import cdn_schema
 from repro.experiments.runner import run_cases
 from repro.fleet import FleetConfig, FleetSupervisor, fleet_localize, tenant_of
-from repro.resilience.chaos import AlwaysCrashLocalizer, CrashOnceLocalizer
+from repro.resilience.chaos import AlwaysCrashLocalizer, CrashOnceLocalizer, WorkerCrash
 
 
 def make_cases(n_cases=6):
@@ -204,6 +206,88 @@ class TestCrashes:
         assert [r.case_id for r in evaluation.results] == [
             c.case_id for c in cases
         ]
+
+
+class CrashOnceOn:
+    """Crashes the first run of one dataset (mid micro-batch), then succeeds."""
+
+    name = "CrashOnceOn"
+
+    def __init__(self, dataset):
+        self.inner = RAPMiner()
+        self.dataset = dataset
+        self.crashed = False
+
+    def localize(self, dataset, k=None):
+        if dataset is self.dataset and not self.crashed:
+            self.crashed = True
+            raise WorkerCrash("injected mid-batch crash")
+        return self.inner.localize(dataset, k)
+
+
+def serve_all(supervisor, cases, rounds=1):
+    """Submit every case *rounds* times in serving mode; wait for all results."""
+    outcomes = []
+    landed = threading.Condition()
+    expected = len(cases) * rounds
+
+    def on_result(outcome):
+        with landed:
+            outcomes.append(outcome)
+            landed.notify_all()
+
+    supervisor.on_result = on_result
+    # Queued before the workers start, so micro-batches hold several items.
+    for __ in range(rounds):
+        for case, tenant in zip(cases, TENANTS):
+            supervisor.submit(case, tenant=tenant)
+    supervisor.start_serving()
+    try:
+        with landed:
+            assert landed.wait_for(lambda: len(outcomes) >= expected, timeout=30)
+    finally:
+        supervisor.stop_serving()
+        supervisor.on_result = None
+    return outcomes
+
+
+def assert_outcomes_match_serial(outcomes, cases, serial, rounds=1):
+    want = {r.case_id: r.predicted for r in serial.results}
+    # Exactly one answer per submission: nothing lost, nothing run twice.
+    assert sorted(Counter(o.seq for o in outcomes).values()) == [1] * (len(cases) * rounds)
+    for outcome in outcomes:
+        assert outcome.error is None
+        assert list(outcome.predicted) == want[outcome.case_id]
+
+
+class TestServingRetention:
+    def test_serving_keeps_no_rows(self, cases, serial):
+        supervisor = FleetSupervisor(
+            RAPMiner(), config=FleetConfig(k_from_truth=True, microbatch=2)
+        )
+        outcomes = serve_all(supervisor, cases, rounds=4)
+        assert_outcomes_match_serial(outcomes, cases, serial, rounds=4)
+        assert len(supervisor._rows) == 0
+        # Back in drive mode, drain() sees its own submissions again.
+        for case, tenant in zip(cases, TENANTS):
+            supervisor.submit(case, tenant=tenant)
+        assert_matches_serial(supervisor.drain(), serial)
+
+    @pytest.mark.parametrize("microbatch", [1, 3])
+    def test_crash_requeues_once_in_serving_mode(self, cases, serial, microbatch):
+        # cases[2] queues behind cases[0] on tenant alpha's home shard, so
+        # with micro-batches of 3 the crash lands after a finished row.
+        chaotic = CrashOnceOn(cases[2].dataset)
+        supervisor = FleetSupervisor(
+            chaotic, config=FleetConfig(k_from_truth=True, microbatch=microbatch)
+        )
+        with obs.capture() as collector:
+            outcomes = serve_all(supervisor, cases)
+        assert chaotic.crashed
+        assert_outcomes_match_serial(outcomes, cases, serial)
+        assert collector.metrics.value("fleet_crashes_total") == 1
+        assert collector.metrics.value("fleet_errors_total") == 0.0
+        assert len(supervisor._rows) == 0
 
 
 class TestWarmEngines:

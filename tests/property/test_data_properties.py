@@ -1,5 +1,8 @@
 """Property-based tests on datasets, injection, and serialization."""
 
+import functools
+import json
+
 import numpy as np
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -109,9 +112,56 @@ def test_injection_dev_roundtrip(dataset, seed):
     assert np.array_equal(labelled.labels, truth)
 
 
-@given(valued_datasets())
-@settings(max_examples=30, deadline=None)
+#: Float64 bit patterns a packed lane must carry unchanged: quiet and
+#: signalling NaNs with payloads, a negative NaN, -0.0, +-inf, denormals.
+SPECIAL_BITS = (
+    0x7FF8000000000000,
+    0x7FF8DEADBEEF0001,
+    0x7FF0000000000001,
+    0xFFF8000000000123,
+    0x8000000000000000,
+    0x7FF0000000000000,
+    0xFFF0000000000000,
+    0x0000000000000001,
+)
+
+#: First-attribute sizes at each code-width boundary: the largest code
+#: that fits ``|u1`` (255), the first that needs ``<u2``, the largest
+#: ``<u2`` code and the first ``<u4`` one.
+BOUNDARY_SIZES = (2, 256, 257, 65536, 65537)
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(sizes):
+    return schema_from_sizes(sizes)
+
+
+@st.composite
+def lane_datasets(draw):
+    """Small leaf tables whose lanes hit every packed-lane edge case."""
+    sizes = [draw(st.sampled_from(BOUNDARY_SIZES))]
+    sizes += draw(st.lists(st.integers(1, 3), max_size=2))
+    schema = _schema(tuple(sizes))
+    n_rows = draw(st.integers(0, 6))
+    codes = np.array(
+        [[draw(st.integers(0, size - 1)) for size in sizes] for __ in range(n_rows)],
+        dtype=np.int64,
+    ).reshape(n_rows, len(sizes))
+    if n_rows:
+        codes[draw(st.integers(0, n_rows - 1)), 0] = sizes[0] - 1
+    bits = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1))
+    v, f = (
+        np.array([draw(bits) for __ in range(n_rows)], dtype=np.uint64).view(np.float64)
+        for __ in range(2)
+    )
+    labels = np.array([draw(st.booleans()) for __ in range(n_rows)], dtype=bool)
+    return FineGrainedDataset(schema, codes, v, f, labels)
+
+
+@given(lane_datasets())
+@settings(max_examples=40, deadline=None)
 def test_case_dict_roundtrip(dataset):
+    """Packed lanes survive a JSON round trip bit for bit; lists still decode."""
     case = LocalizationCase(
         case_id="prop",
         dataset=dataset,
@@ -123,9 +173,35 @@ def test_case_dict_roundtrip(dataset):
         ),
         metadata={"n": dataset.n_rows},
     )
-    rebuilt = case_from_dict(case_to_dict(case))
+    encoded = case_to_dict(case)
+    largest = dataset.schema.sizes[0] - 1
+    assert encoded["codes"]["dtype"] == (
+        "|u1" if largest <= 0xFF else "<u2" if largest <= 0xFFFF else "<u4"
+    )
+    rebuilt = case_from_dict(json.loads(json.dumps(encoded)))
+    assert rebuilt.case_id == case.case_id
     assert rebuilt.true_raps == case.true_raps
-    assert np.array_equal(rebuilt.dataset.codes, dataset.codes)
-    assert np.array_equal(rebuilt.dataset.labels, dataset.labels)
-    assert np.allclose(rebuilt.dataset.v, dataset.v)
-    assert np.allclose(rebuilt.dataset.f, dataset.f)
+    assert rebuilt.metadata == case.metadata
+    assert rebuilt.dataset.schema == dataset.schema
+    for lane in ("codes", "v", "f", "labels"):
+        got, want = getattr(rebuilt.dataset, lane), getattr(dataset, lane)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), lane
+
+    # The plain-list form decodes to the same arrays (JSON text keeps
+    # every float but a NaN's sign and payload, so NaNs compare as NaNs).
+    listed = dict(
+        encoded,
+        codes=dataset.codes.tolist(),
+        v=dataset.v.tolist(),
+        f=dataset.f.tolist(),
+        labels=dataset.labels.astype(int).tolist(),
+    )
+    from_lists = case_from_dict(json.loads(json.dumps(listed))).dataset
+    assert from_lists.codes.tobytes() == dataset.codes.tobytes()
+    assert from_lists.labels.tobytes() == dataset.labels.tobytes()
+    for lane in ("v", "f"):
+        got, want = getattr(from_lists, lane), getattr(dataset, lane)
+        assert np.array_equal(got, want, equal_nan=True)
+        numbers = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))

@@ -4,18 +4,28 @@ The admission controller is pure state, so hypothesis can drive it with
 arbitrary admit/release interleavings and check the ledger invariants
 that the live server depends on (a slot leak would eventually wedge the
 whole front door at ``queue_full``).  The request parser must be
-*total* over byte strings: whatever arrives off the wire, the only
-non-value outcome is a typed :class:`~repro.serving.ProtocolError` —
-anything else would let one malformed client kill a handler task.
+*total* over byte strings and over case bundles whose packed lanes
+are arbitrary: whatever arrives off the wire, the only non-value
+outcome is a typed :class:`~repro.serving.ProtocolError` — anything
+else would let one malformed client kill a handler task.
 """
 
 from __future__ import annotations
 
+import base64
+import functools
+import json
 from typing import List, Tuple
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given, settings
 
+from repro.core.attribute import AttributeCombination
+from repro.data.dataset import FineGrainedDataset
+from repro.data.injection import LocalizationCase
+from repro.data.io import case_to_dict
+from repro.data.schema import schema_from_sizes
 from repro.serving import AdmissionConfig, AdmissionController, ProtocolError
 from repro.serving.protocol import decode_frame, parse_request
 
@@ -75,10 +85,52 @@ def test_admission_ledger_invariants(run):
         assert ctl.snapshot() == {t: n for t, n in held.items() if n}
 
 
+@functools.lru_cache(maxsize=None)
+def _valid_bundle_json() -> str:
+    """A 2x2 leaf table's case bundle: four rows, packed lanes."""
+    schema = schema_from_sizes([2, 2])
+    dataset = FineGrainedDataset.full(schema, np.arange(1.0, 5.0), np.full(4, 2.0))
+    case = LocalizationCase(
+        case_id="prop",
+        dataset=dataset,
+        true_raps=(AttributeCombination.parse("(e0_0, *)"),),
+    )
+    return json.dumps(case_to_dict(case))
+
+
+#: Whitelisted and foreign dtypes, so drawn lanes hit both branches.
+_DTYPES = ("|u1", "<u2", "<u4", "<u8", "<f8", ">f8", "<i8", "|b1", "O", "<c16", "<f4")
+
+#: One arbitrary packed lane: any dtype, any (often valid) base64 text.
+_PACKED_LANES = st.fixed_dictionaries(
+    {
+        "dtype": st.one_of(st.sampled_from(_DTYPES), st.text(max_size=4), st.integers()),
+        "b64": st.one_of(
+            st.binary(max_size=40).map(lambda raw: base64.b64encode(raw).decode()),
+            st.text(max_size=24),
+            st.none(),
+        ),
+    },
+    optional={"extra": st.just(1)},
+)
+
+
+def _with_lanes(lanes: dict) -> bytes:
+    bundle = json.loads(_valid_bundle_json())
+    bundle.update(lanes)
+    return json.dumps({"case": bundle}).encode()
+
+
+#: Requests whose case bundle has arbitrary packed lanes swapped in.
+packed_lane_requests = st.dictionaries(
+    st.sampled_from(["codes", "v", "f", "labels"]), _PACKED_LANES, min_size=1
+).map(_with_lanes)
+
+
 @settings(deadline=None, max_examples=300)
-@given(st.binary(max_size=512))
+@given(st.one_of(st.binary(max_size=512), packed_lane_requests))
 def test_parse_request_is_total(payload):
-    """Arbitrary bytes either parse or raise exactly ProtocolError."""
+    """Arbitrary bytes, or arbitrary packed lanes, parse or raise ProtocolError."""
     try:
         parse_request(payload)
     except ProtocolError as exc:

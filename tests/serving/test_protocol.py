@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import base64
 import json
 
+import numpy as np
 import pytest
 
 from repro.data.io import case_to_dict
@@ -37,6 +39,83 @@ def case():
 
 def request_bytes(case, **extra) -> bytes:
     return json.dumps({"case": case_to_dict(case), **extra}).encode()
+
+
+def list_form(case) -> dict:
+    """The case bundle with plain JSON-list lanes (the pre-packed form)."""
+    data = case_to_dict(case)
+    dataset = case.dataset
+    data.update(
+        codes=dataset.codes.tolist(),
+        v=dataset.v.tolist(),
+        f=dataset.f.tolist(),
+        labels=dataset.labels.astype(int).tolist(),
+    )
+    return data
+
+
+def packed(array, dtype: str) -> dict:
+    raw = np.asarray(array).astype(dtype).tobytes()
+    return {"dtype": dtype, "b64": base64.b64encode(raw).decode()}
+
+
+def _set_first(lane: str, value):
+    def mutate(data):
+        if lane == "codes":
+            data["codes"][0][0] = value
+        else:
+            data[lane][0] = value
+    return mutate
+
+
+def _set_lane(lane: str, make):
+    def mutate(data):
+        data[lane] = make(data[lane])
+    return mutate
+
+
+def _patch(lane: str, **fields):
+    """Mutation: override fields of one packed lane."""
+    return _set_lane(lane, lambda packed_lane: {**packed_lane, **fields})
+
+
+def _fill(lane: str, value: int):
+    """Mutation: a ``|u1`` lane of the same length, every element *value*."""
+    return _set_lane(
+        lane, lambda packed_lane: packed(np.full(len(base64.b64decode(packed_lane["b64"])), value), "|u1")
+    )
+
+
+#: Malformed case bundles, each on top of a valid one: (form, mutation).
+MALFORMED_CASES = {
+    # List form: values the pre-packed decoder silently coerced.
+    "list-code-float": ("list", _set_first("codes", 1.7)),
+    "list-code-bool": ("list", _set_first("codes", True)),
+    "list-label-7": ("list", _set_first("labels", 7)),
+    "list-label-negative": ("list", _set_first("labels", -1)),
+    "list-v-string": ("list", _set_first("v", "3.5")),
+    "list-f-null": ("list", _set_first("f", None)),
+    "list-codes-row-width": ("list", _set_lane("codes", lambda c: [r[:-1] for r in c])),
+    "list-v-short": ("list", _set_lane("v", lambda v: v[:-1])),
+    "list-lane-scalar": ("list", _set_lane("labels", lambda __: 1)),
+    # Packed lanes.
+    "packed-bad-base64": ("packed", _set_lane("v", lambda lane: {**lane, "b64": "!!" + lane["b64"]})),
+    "packed-bad-padding": ("packed", _set_lane("f", lambda lane: {**lane, "b64": lane["b64"][:-1]})),
+    "packed-ragged-bytes": ("packed", _patch("v", b64=base64.b64encode(b"\0" * 12).decode())),
+    "packed-dtype-object": ("packed", _patch("v", dtype="O")),
+    "packed-dtype-big-endian": ("packed", _patch("f", dtype=">f8")),
+    "packed-dtype-complex": ("packed", _patch("v", dtype="<c16")),
+    "packed-dtype-signed-codes": ("packed", _patch("codes", dtype="<i8")),
+    "packed-dtype-not-a-string": ("packed", _patch("labels", dtype=1)),
+    "packed-b64-not-a-string": ("packed", _patch("labels", b64=[1])),
+    "packed-extra-key": ("packed", _patch("v", shape=[3])),
+    "packed-missing-b64": ("packed", _set_lane("f", lambda lane: {"dtype": lane["dtype"]})),
+    "packed-codes-not-whole-rows": ("packed", _set_lane("codes", lambda __: packed(np.zeros(7), "|u1"))),
+    "packed-codes-row-count": ("packed", _set_lane("codes", lambda __: packed(np.zeros(6), "|u1"))),
+    "packed-labels-count": ("packed", _set_lane("labels", lambda __: packed([0, 1], "|u1"))),
+    "packed-labels-not-0-1": ("packed", _fill("labels", 2)),
+    "packed-code-out-of-range": ("packed", _fill("codes", 250)),
+}
 
 
 class TestFraming:
@@ -155,6 +234,27 @@ class TestParseRequest:
     def test_bad_case_bundle(self):
         with pytest.raises(ProtocolError) as excinfo:
             parse_request(b'{"case": {"schema": "not-a-schema"}}')
+        assert excinfo.value.code == "bad_case"
+
+    def test_lanes_travel_packed(self, case):
+        data = json.loads(request_bytes(case))["case"]
+        assert data["codes"]["dtype"] == "|u1"
+        assert data["labels"]["dtype"] == "|u1"
+        assert data["v"]["dtype"] == data["f"]["dtype"] == "<f8"
+
+    def test_list_form_still_parses(self, case):
+        request = parse_request(json.dumps({"case": list_form(case)}).encode())
+        for lane in ("codes", "v", "f", "labels"):
+            got = getattr(request.case.dataset, lane)
+            assert got.tobytes() == getattr(case.dataset, lane).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CASES))
+    def test_malformed_case_is_bad_case(self, case, name):
+        form, mutate = MALFORMED_CASES[name]
+        data = list_form(case) if form == "list" else case_to_dict(case)
+        mutate(data)
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request(json.dumps({"case": data}).encode())
         assert excinfo.value.code == "bad_case"
 
 

@@ -221,11 +221,13 @@ class TestDeadlines:
             assert body["status"] == "error"
             assert body["code"] == "timeout"
             assert body["http_status"] == 504
-            # The abandoned slot still releases when the fleet finishes.
+            # The abandoned slot still releases when the fleet finishes,
+            # and the late result is dropped, not parked for good.
             deadline = time.time() + 10
-            while server.admission.depth and time.time() < deadline:
+            while (server.admission.depth or server._pending) and time.time() < deadline:
                 time.sleep(0.02)
             assert server.admission.depth == 0
+            assert server._pending == {} and server._early == {}
 
 
 class TestMalformedInput:
@@ -342,6 +344,31 @@ class TestTelemetryPlane:
                 assert status == 200 and body["ready"] is True
         # After stop the readiness probe reports not ready.
         assert server._readiness()["ready"] is False
+
+    def test_long_lived_capture_keeps_spans_bounded(self, cases, serial):
+        """``repro serve``'s capture keeps only the span ring; the fleet no rows."""
+        n_requests = 60
+        with obs.capture(keep_spans=False) as collector:
+            with serve() as server:
+                client = ServingClient("127.0.0.1", server.http_port)
+                with BinaryServingClient("127.0.0.1", server.binary_port) as binary:
+                    for i in range(n_requests):
+                        case = cases[i % len(cases)]
+                        plane = binary if i % 2 else client
+                        body = plane.localize(case, k=len(case.true_raps))
+                        assert body["root_causes"] == serial[case.case_id]
+                status, __, data = client.request("GET", "/debug/spans")
+                listed = json.loads(data)
+                status_profile, __, profile = client.request("GET", "/debug/profile")
+                assert server.supervisor._rows == {}
+        assert collector.spans == []
+        ring = collector.recent
+        assert ring.total_appended > ring.capacity  # the ring did wrap
+        assert len(ring) == ring.capacity
+        assert status == 200
+        assert listed["count"] == ring.capacity
+        assert listed["total_finished"] >= n_requests
+        assert status_profile == 200 and json.loads(profile)["families"]
 
     def test_slo_tracker_fed_per_request(self, cases):
         with serve() as server:

@@ -209,6 +209,36 @@ class TestReproduce:
         assert "Squeeze" in out
 
 
+@pytest.fixture
+def capture_spy(monkeypatch):
+    """Collectors of every ``obs.capture`` the command under test opens."""
+    from contextlib import contextmanager
+
+    from repro import obs
+
+    opened = []
+    real = obs.capture
+
+    @contextmanager
+    def spy(*args, **kwargs):
+        with real(*args, **kwargs) as collector:
+            opened.append(collector)
+            yield collector
+
+    monkeypatch.setattr(obs, "capture", spy)
+    return opened
+
+
+class TestServeCapture:
+    def test_serve_capture_keeps_only_the_span_ring(self, capture_spy, capsys):
+        assert main(
+            ["serve", "--port", "0", "--no-binary", "--shards", "1", "--max-requests", "0"]
+        ) == 0
+        assert "served 0 request(s)" in capsys.readouterr().out
+        (collector,) = capture_spy
+        assert not collector.keep_spans
+
+
 class TestStreamLocalize:
     def test_replays_bundle_with_verification(self, bundle, capsys):
         code = main(
@@ -249,6 +279,16 @@ class TestStreamLocalize:
         assert "for the lifetime of the replay" in out
         # The capture and the server are both torn down after the replay.
         assert not obs.is_active()
+
+    def test_serve_metrics_capture_keeps_only_the_span_ring(
+        self, bundle, capture_spy, capsys
+    ):
+        assert main(
+            ["stream-localize", "--cases", str(bundle), "--serve-metrics", "0"]
+        ) == 0
+        (collector,) = capture_spy
+        assert not collector.keep_spans and collector.spans == []
+        assert collector.recent.total_appended > 0
 
     def test_serve_metrics_accepts_bare_port(self, bundle, capsys):
         assert main(
